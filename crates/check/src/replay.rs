@@ -1,12 +1,12 @@
 //! Trace-replay mode: checking a *dynamic* run's always-on counters
 //! against what the statically emitted streams promise.
 //!
-//! The SoC's [`TraceCounters`] are maintained even with event recording
-//! off, so every run — including long soak runs where a ring buffer would
-//! wrap — leaves enough evidence for conservation checks. The expectation
-//! is derived from the same [`KernelStreams`] the static rules analyse,
-//! which is what makes a static finding and a replay finding name the
-//! same protocol action.
+//! The SoC's [`TraceCounters`] are maintained even with no flight
+//! recorder attached, so every run — including long soak runs where a
+//! recorder's ring would wrap — leaves enough evidence for conservation
+//! checks. The expectation is derived from the same [`KernelStreams`]
+//! the static rules analyse, which is what makes a static finding and a
+//! replay finding name the same protocol action.
 //!
 //! The checks are deliberately *conservation* properties (equalities and
 //! lower bounds that hold for any legal interleaving), never exact
@@ -16,7 +16,7 @@
 use l15_cache::l15::protocol::ProtocolOp;
 use l15_runtime::emit::KernelStreams;
 use l15_soc::trace::TraceCounters;
-use l15_trace::{Category, EventKind, FlightRecorder, TraceEvent};
+use l15_trace::{Category, FlightRecorder, TraceEvent};
 
 use crate::rules::{Finding, RuleId};
 
@@ -108,24 +108,14 @@ pub fn check_counters(c: &TraceCounters, expect: &TraceExpectation) -> Vec<Findi
 }
 
 /// Reconstructs the always-on [`TraceCounters`] from a flight-recorder
-/// event stream. Events outside the legacy counter vocabulary (pipeline
-/// stalls, SDU stalls, GV consumption, kernel spans) are ignored.
+/// event stream by folding it through [`TraceCounters::count`], the same
+/// rule the live monitor applies, so events that advance no counter
+/// (pipeline and SDU stalls, GV consumption, kernel spans) are ignored.
 pub fn counters_from_events(events: &[TraceEvent]) -> TraceCounters {
-    let mut c = TraceCounters::default();
-    for e in events {
-        match e.kind {
-            EventKind::Fetch { level, .. } => c.fetches[level.index()] += 1,
-            EventKind::Load { level, .. } => c.loads[level.index()] += 1,
-            EventKind::Store { via_l15: true, .. } => c.stores_via_l15 += 1,
-            EventKind::Store { via_l15: false, .. } => c.stores_conventional += 1,
-            EventKind::Ctrl { .. } => c.ctrl_ops += 1,
-            EventKind::WayGrant { .. } => c.grants += 1,
-            EventKind::WayRevoke { .. } => c.revokes += 1,
-            EventKind::GvPublish { .. } => c.gv_updates += 1,
-            _ => {}
-        }
-    }
-    c
+    events.iter().fold(TraceCounters::default(), |mut c, e| {
+        c.count(&e.kind);
+        c
+    })
 }
 
 /// Outcome of replaying a recorded trace through the conservation rules.
@@ -215,9 +205,14 @@ mod tests {
 
     #[test]
     fn recorded_run_replays_clean() {
+        use std::collections::BTreeSet;
+
+        use l15_core::baseline::SystemModel;
+        use l15_core::federated::{federated_partition, ClusterTopology};
         use l15_runtime::kernel::KernelConfig;
-        use l15_runtime::run_task_traced;
+        use l15_runtime::{run_cluster_plan, run_task_traced};
         use l15_soc::{Soc, SocConfig};
+        use l15_trace::EventKind;
 
         let (task, plan) = chain3();
         let ks = emit_kernel_streams(&task, &plan, &EmitOptions::default());
@@ -239,6 +234,44 @@ mod tests {
         // The reconstruction agrees with the live always-on counters.
         assert_eq!(&verdict.counters, soc.uncore().trace().counters());
         assert!(verdict.counters.ctrl_ops >= expect.min_ctrl_ops);
+
+        // One more input: two applications co-resident on the preset's two
+        // clusters, so the way traffic of both clusters passes through the
+        // single counting rule too.
+        let wide = || {
+            let mut b = DagBuilder::new();
+            let s = b.add_node(Node::new(0.1, 2048));
+            let t = b.add_node(Node::new(0.1, 0));
+            for _ in 0..6 {
+                let v = b.add_node(Node::new(1.0, 2048));
+                b.add_edge(s, v, 0.2, 0.5).unwrap();
+                b.add_edge(v, t, 0.2, 0.5).unwrap();
+            }
+            DagTask::new(b.build().unwrap(), 4.0, 4.0).unwrap()
+        };
+        let tasks = [wide(), wide()];
+        let topology = ClusterTopology { clusters: 2, cores_per_cluster: 4 };
+        let fplan = federated_partition(&tasks, topology, &SystemModel::proposed()).unwrap();
+        let mut soc = Soc::new(SocConfig::proposed_8core(), 0);
+        let trace = soc.uncore_mut().trace_mut();
+        trace.set_sink(Box::new(FlightRecorder::new(l15_runtime::DEFAULT_CAPTURE_EVENTS)));
+        let report = run_cluster_plan(&mut soc, &tasks, &fplan, &KernelConfig::default()).unwrap();
+        let sink = soc.uncore_mut().trace_mut().take_sink();
+        let rec = sink.into_any().downcast::<FlightRecorder>().unwrap();
+        assert!(report.dataflow_ok());
+        assert_eq!(rec.dropped().total(), 0, "capture must be loss-free");
+        let events = rec.to_vec();
+        assert_eq!(&counters_from_events(&events), soc.uncore().trace().counters());
+        let way_traffic: BTreeSet<(&str, u32)> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::WayGrant { cluster, .. }
+                | EventKind::WayRevoke { cluster, .. }
+                | EventKind::GvPublish { cluster, .. } => Some((e.kind.name(), cluster)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(way_traffic.len(), 6, "grant, revoke and publish in both: {way_traffic:?}");
     }
 
     #[test]
@@ -263,7 +296,7 @@ mod tests {
 
     #[test]
     fn counters_from_events_maps_every_counter_kind() {
-        use l15_trace::{CtrlKind, Level};
+        use l15_trace::{CtrlKind, EventKind, Level};
         let mk = |kind| TraceEvent { cycle: 0, kind };
         let events = [
             mk(EventKind::Fetch { core: 0, level: Level::L1 }),

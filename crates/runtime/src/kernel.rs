@@ -253,17 +253,17 @@ pub fn run_task(
                 let want = want_ways[core] as u32;
                 let settled = config_done_cycle[core].is_some();
                 let t = soc.uncore_mut().trace_mut();
-                t.emit_at(dc, EventKind::NodeStart { node: nv, core: cv });
+                t.record_at(dc, EventKind::NodeStart { node: nv, core: cv });
                 if has_l15 {
-                    t.emit_at(
+                    t.record_at(
                         dc,
                         EventKind::Section { core: cv, node: nv, kind: SectionKind::Dispatch },
                     );
-                    t.emit_at(dc, EventKind::WallocStart { core: cv, want });
+                    t.record_at(dc, EventKind::WallocStart { core: cv, want });
                     if settled {
                         // No extra local ways demanded: the episode is
                         // zero-length, closed at the dispatch cycle.
-                        t.emit_at(dc, EventKind::WallocDone { core: cv, got: want });
+                        t.record_at(dc, EventKind::WallocDone { core: cv, got: want });
                     }
                 }
             }
@@ -305,7 +305,7 @@ pub fn run_task(
                 // L1.5 (the dispatch-time ip_set only covered ways owned
                 // *before* the grant).
                 soc.uncore_mut().l15_ctrl(core, L15Op::IpSet, 1);
-                soc.uncore_mut().trace_mut().emit_at(
+                soc.uncore_mut().trace_mut().record_at(
                     cyc,
                     EventKind::WallocDone { core: core as u32, got: supplied as u32 },
                 );
@@ -322,7 +322,7 @@ pub fn run_task(
             done += 1;
             soc.uncore_mut()
                 .trace_mut()
-                .emit_at(finish, EventKind::NodeFinish { node: v.0 as u32, core: core as u32 });
+                .record_at(finish, EventKind::NodeFinish { node: v.0 as u32, core: core as u32 });
 
             // φ contribution for this node.
             if has_l15 {
@@ -354,7 +354,7 @@ pub fn run_task(
                     .gv_get(lane)
                     .expect("lane in range");
                 soc.uncore_mut().l15_ctrl(core, L15Op::GvSet, published.union(fresh).0 as u32);
-                soc.uncore_mut().trace_mut().emit_at(
+                soc.uncore_mut().trace_mut().record_at(
                     finish,
                     EventKind::Section {
                         core: core as u32,
@@ -381,7 +381,7 @@ pub fn run_task(
                     consumers_left[p.0] -= 1;
                     if consumers_left[p.0] == 0 {
                         if !node_ways[p.0].is_empty() {
-                            soc.uncore_mut().trace_mut().emit_at(
+                            soc.uncore_mut().trace_mut().record_at(
                                 finish,
                                 EventKind::Section {
                                     core: core as u32,
@@ -398,7 +398,7 @@ pub fn run_task(
                     }
                 }
                 if dag.out_degree(v) == 0 && !node_ways[v.0].is_empty() {
-                    soc.uncore_mut().trace_mut().emit_at(
+                    soc.uncore_mut().trace_mut().record_at(
                         finish,
                         EventKind::Section {
                             core: core as u32,

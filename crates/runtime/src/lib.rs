@@ -11,6 +11,8 @@
 //! * [`workgen::node_program`] — RV32 programs that read predecessors'
 //!   data, compute and produce their own dependent data;
 //! * [`kernel::run_task`] — the dispatcher/monitor;
+//! * [`coresidency::run_cluster_plan`] — the multi-DAG runner: several
+//!   applications co-resident under a federated cluster plan;
 //! * [`quiesce::quiesce_cluster`] — the mode-change quiescence protocol
 //!   (drain demands, settle the Walloc, verify the R2/R3
 //!   post-conditions) the online layer runs at each switch point;
@@ -49,7 +51,6 @@ pub mod coresidency;
 pub mod emit;
 pub mod kernel;
 pub mod layout;
-pub mod multitask;
 pub mod quiesce;
 pub mod workgen;
 
@@ -58,6 +59,5 @@ pub use coresidency::{run_cluster_plan, AppOutcome, CoResidencyReport};
 pub use emit::{emit_kernel_streams, EmitOptions, KernelStreams, NodeStream};
 pub use kernel::{run_task, KernelConfig, KernelError, RunReport};
 pub use layout::TaskLayout;
-pub use multitask::{run_taskset, MultiTaskConfig, MultiTaskReport, TaskOutcome};
 pub use quiesce::{quiesce_cluster, QuiesceReport};
 pub use workgen::{node_program, WorkScale, WorkgenError};

@@ -1,16 +1,17 @@
 //! The tracing parity contract: observation must never perturb the run.
 //!
-//! Two layers of observation exist — the legacy event ring
-//! (`Trace::enable`) and the `l15-trace` flight-recorder sink
-//! (`run_task_traced`) — and neither may change *anything* the
+//! The SoC monitor's one observation point is the `l15-trace` sink
+//! (attached by `run_task_traced`, or directly with `Trace::set_sink`),
+//! and attaching a flight recorder there may not change *anything* the
 //! simulation computes: aggregate counters, the kernel's run report,
-//! hierarchy statistics, per-core execution statistics, or the final
-//! memory image. Traced-vs-untraced cycle parity is what makes a trace
-//! trustworthy: a capture shows the run you would have had anyway.
+//! hierarchy and cluster statistics, per-core execution statistics,
+//! clocks, or the final memory image. Traced-vs-untraced cycle parity is
+//! what makes a trace trustworthy: a capture shows the run you would have
+//! had anyway.
 //!
-//! Also a regression for a gap where `GvUpdate` events advanced no
-//! counter at all, so `gv_set` activity was invisible whenever the ring
-//! was off (the default in every experiment binary).
+//! Also a regression for a gap where `gv_set` updates advanced no
+//! counter at all, so they were invisible in untraced runs (the default
+//! in every experiment binary).
 
 use l15_core::alg1::schedule_with_l15;
 use l15_core::baseline::SystemModel;
@@ -52,7 +53,6 @@ struct Observables {
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     Untraced,
-    Ring,
     Recorder,
 }
 
@@ -64,10 +64,6 @@ fn run_diamond(mode: Mode) -> Observables {
     let cfg = KernelConfig::default();
     let report = match mode {
         Mode::Untraced => run_task(&mut soc, &task, &plan, &cfg).unwrap(),
-        Mode::Ring => {
-            soc.uncore_mut().trace_mut().enable();
-            run_task(&mut soc, &task, &plan, &cfg).unwrap()
-        }
         Mode::Recorder => {
             let (report, rec) = run_task_traced(&mut soc, &task, &plan, &cfg, 1 << 18).unwrap();
             assert!(rec.recorded() > 0, "the recorder must have observed the run");
@@ -88,9 +84,7 @@ fn run_diamond(mode: Mode) -> Observables {
 #[test]
 fn traced_and_untraced_runs_are_indistinguishable() {
     let untraced = run_diamond(Mode::Untraced);
-    let ring = run_diamond(Mode::Ring);
     let recorder = run_diamond(Mode::Recorder);
-    assert_eq!(untraced, ring, "enabling the event ring must not change any observable state");
     assert_eq!(
         untraced, recorder,
         "attaching a flight recorder must not change any observable state"
@@ -131,10 +125,6 @@ fn run_coresident(mode: Mode) -> CoResObservables {
     let cfg = KernelConfig::default();
     let report = match mode {
         Mode::Untraced => run_cluster_plan(&mut soc, &tasks, &plan, &cfg).unwrap(),
-        Mode::Ring => {
-            soc.uncore_mut().trace_mut().enable();
-            run_cluster_plan(&mut soc, &tasks, &plan, &cfg).unwrap()
-        }
         Mode::Recorder => {
             soc.uncore_mut().trace_mut().set_sink(Box::new(FlightRecorder::new(1 << 18)));
             let report = run_cluster_plan(&mut soc, &tasks, &plan, &cfg).unwrap();
@@ -169,11 +159,8 @@ fn run_coresident(mode: Mode) -> CoResObservables {
 #[test]
 fn coresident_two_apps_on_two_clusters_have_traced_untraced_parity() {
     let untraced = run_coresident(Mode::Untraced);
-    let ring = run_coresident(Mode::Ring);
     let recorder = run_coresident(Mode::Recorder);
-    assert_eq!(untraced.report, ring.report, "event ring must not perturb co-residency");
     assert_eq!(untraced.report, recorder.report, "recorder must not perturb co-residency");
-    assert_eq!(untraced.obs, ring.obs);
     assert_eq!(untraced.obs, recorder.obs);
 
     // The co-residency contract itself: two applications, two distinct
@@ -195,7 +182,7 @@ fn coresident_two_apps_on_two_clusters_have_traced_untraced_parity() {
 fn kernel_workload_reaches_every_counter_family() {
     // The diamond kernel run exercises the paper's full pipeline:
     // fetches/loads, L1.5-routed stores, control ops, way grants and
-    // gv_set updates must all be visible without tracing enabled.
+    // gv_set updates must all be visible without a sink attached.
     let c = run_diamond(Mode::Untraced).counters;
     assert!(c.fetches.iter().sum::<u64>() > 0, "no fetches counted: {c:?}");
     assert!(c.loads.iter().sum::<u64>() > 0, "no loads counted: {c:?}");

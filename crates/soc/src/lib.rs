@@ -40,5 +40,5 @@ pub mod uncore;
 
 pub use config::{LevelConfig, SocConfig};
 pub use soc::Soc;
-pub use trace::{ServedBy, Trace, TraceCounters, TraceEvent, TraceEventKind};
+pub use trace::{Trace, TraceCounters};
 pub use uncore::{ClusterStats, HierarchyStats, Uncore};

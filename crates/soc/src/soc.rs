@@ -108,10 +108,10 @@ impl Soc {
         self.uncore.trace_mut().set_now(self.clocks[i]);
         let out = self.cores[i].step(&mut self.uncore);
         if out.stalls.any() {
-            // Emit the per-instruction stall breakdown; emit() is a no-op
-            // when no flight recorder is attached.
+            // The per-instruction stall breakdown advances no counter, so
+            // recording it is a no-op when no flight recorder is attached.
             let s = out.stalls;
-            self.uncore.trace_mut().emit(EventKind::PipeStall {
+            self.uncore.trace_mut().record(EventKind::PipeStall {
                 core: i as u32,
                 if_stall: s.if_stall,
                 ma_stall: s.ma_stall,

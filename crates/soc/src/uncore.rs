@@ -26,10 +26,10 @@ use l15_cache::stats::CacheStats;
 use l15_cache::CacheError;
 use l15_rvcore::bus::{CtrlAccess, MemAccess, SystemBus};
 use l15_rvcore::isa::L15Op;
-use l15_trace::EventKind;
+use l15_trace::{EventKind, Level};
 
 use crate::config::{LevelConfig, SocConfig};
-use crate::trace::{ServedBy, Trace, TraceEventKind};
+use crate::trace::{ctrl_kind, Trace};
 
 fn build_level(cfg: &LevelConfig) -> SetAssocCache {
     let geo = Geometry::from_capacity(cfg.capacity, cfg.line_bytes, cfg.ways)
@@ -115,7 +115,7 @@ impl Uncore {
         &self.trace
     }
 
-    /// Mutable monitor access (enable/stamp/clear).
+    /// Mutable monitor access (cycle stamp, sink attach/detach).
     pub fn trace_mut(&mut self) -> &mut Trace {
         &mut self.trace
     }
@@ -190,10 +190,17 @@ impl Uncore {
                 let (event, wbs) = l15.tick();
                 match event {
                     Some(l15_cache::l15::SduEvent::Granted { core, way }) => {
-                        self.trace.record(TraceEventKind::WayGrant { cluster, lane: core, way });
+                        self.trace.record(EventKind::WayGrant {
+                            cluster: cluster as u32,
+                            lane: core as u32,
+                            way: way as u32,
+                        });
                     }
                     Some(l15_cache::l15::SduEvent::Revoked { way, .. }) => {
-                        self.trace.record(TraceEventKind::WayRevoke { cluster, way });
+                        self.trace.record(EventKind::WayRevoke {
+                            cluster: cluster as u32,
+                            way: way as u32,
+                        });
                     }
                     None => {
                         // Demand outstanding but no way free this cycle: a
@@ -203,7 +210,7 @@ impl Uncore {
                             stall_reported = true;
                             let backlog = l15.reconfig_backlog() as u32;
                             self.trace
-                                .emit(EventKind::SduStall { cluster: cluster as u32, backlog });
+                                .record(EventKind::SduStall { cluster: cluster as u32, backlog });
                         }
                     }
                 }
@@ -227,7 +234,7 @@ impl Uncore {
             return Ok(());
         };
         let wbs = l15.revoke_way(way)?;
-        self.trace.record(TraceEventKind::WayRevoke { cluster, way });
+        self.trace.record(EventKind::WayRevoke { cluster: cluster as u32, way: way as u32 });
         for wb in wbs {
             write_back(&mut self.l2, &mut self.mem, &mut self.mem_lines, wb.addr, &wb.data);
         }
@@ -410,7 +417,7 @@ impl Uncore {
         lane: usize,
         vaddr: u64,
         paddr: u64,
-    ) -> (Vec<u8>, u32, ServedBy) {
+    ) -> (Vec<u8>, u32, Level) {
         let vbase = vaddr & !(self.line_bytes - 1);
         let pbase = paddr & !(self.line_bytes - 1);
         if let Some(l15) = self.l15[cluster].as_mut() {
@@ -425,7 +432,7 @@ impl Uncore {
                         let owned = l15.supply(lane).map(|m| m.contains(way)).unwrap_or(false);
                         if !owned {
                             let core = cluster * self.cfg.cores_per_cluster + lane;
-                            self.trace.emit(EventKind::GvConsume {
+                            self.trace.record(EventKind::GvConsume {
                                 core: core as u32,
                                 cluster: cluster as u32,
                                 way: way as u32,
@@ -433,28 +440,27 @@ impl Uncore {
                         }
                     }
                 }
-                return (line, out.latency, ServedBy::L15);
+                return (line, out.latency, Level::L15);
             }
             // Miss in L1.5: fetch from below and allocate into the core's
             // writable ways (non-exclusive allocation on refill).
-            let (line, mut cycles, served) = self.line_from_below_traced(pbase);
+            let (line, mut cycles, level) = self.line_from_below_traced(pbase);
             cycles += out.latency;
             let l15 = self.l15[cluster].as_mut().expect("checked above");
             if let Ok((Some(_), Some(v))) = l15.fill(lane, vbase, pbase, &line, false) {
                 write_back(&mut self.l2, &mut self.mem, &mut self.mem_lines, v.addr, &v.data);
             }
-            (line, cycles, served)
+            (line, cycles, level)
         } else {
-            let (line, cycles, served) = self.line_from_below_traced(pbase);
-            (line, cycles, served)
+            self.line_from_below_traced(pbase)
         }
     }
 
     /// [`line_from_below`] plus the serving-level tag.
-    fn line_from_below_traced(&mut self, paddr: u64) -> (Vec<u8>, u32, ServedBy) {
+    fn line_from_below_traced(&mut self, paddr: u64) -> (Vec<u8>, u32, Level) {
         let was_hit = self.l2.probe(self.l2.geometry().line_base(paddr)).is_some();
         let (line, cycles) = self.line_from_below(paddr);
-        (line, cycles, if was_hit { ServedBy::L2 } else { ServedBy::Memory })
+        (line, cycles, if was_hit { Level::L2 } else { Level::Mem })
     }
 }
 
@@ -492,10 +498,10 @@ impl SystemBus for Uncore {
             let mut b = [0u8; 4];
             let ok = self.l1i[core].read_bytes(paddr, &mut b);
             debug_assert!(ok);
-            self.trace.record(TraceEventKind::Fetch { core, served: ServedBy::L1 });
+            self.trace.record(EventKind::Fetch { core: core as u32, level: Level::L1 });
             return MemAccess { value: u32::from_le_bytes(b), cycles, from_l15: false };
         }
-        let (line, c2, served) = self.read_line_shared(cluster, lane, vaddr, paddr);
+        let (line, c2, level) = self.read_line_shared(cluster, lane, vaddr, paddr);
         cycles += c2;
         let pbase = paddr & !(self.line_bytes - 1);
         if let Some(v) = self.l1i[core].fill(pbase, &line, None) {
@@ -503,8 +509,8 @@ impl SystemBus for Uncore {
         }
         let off = (paddr - pbase) as usize;
         let value = u32::from_le_bytes(line[off..off + 4].try_into().expect("aligned fetch"));
-        self.trace.record(TraceEventKind::Fetch { core, served });
-        MemAccess { value, cycles, from_l15: served == ServedBy::L15 }
+        self.trace.record(EventKind::Fetch { core: core as u32, level });
+        MemAccess { value, cycles, from_l15: level == Level::L15 }
     }
 
     fn load(&mut self, core: usize, vaddr: u32, paddr: u32, size: u32) -> MemAccess {
@@ -517,10 +523,10 @@ impl SystemBus for Uncore {
             let mut b = [0u8; 4];
             let ok = self.l1d[core].read_bytes(paddr, &mut b[..size as usize]);
             debug_assert!(ok);
-            self.trace.record(TraceEventKind::Load { core, served: ServedBy::L1 });
+            self.trace.record(EventKind::Load { core: core as u32, level: Level::L1 });
             return MemAccess { value: u32::from_le_bytes(b), cycles, from_l15: false };
         }
-        let (line, c2, served) = self.read_line_shared(cluster, lane, vaddr, paddr);
+        let (line, c2, level) = self.read_line_shared(cluster, lane, vaddr, paddr);
         cycles += c2;
         let pbase = paddr & !(self.line_bytes - 1);
         if let Some(v) = self.l1d[core].fill(pbase, &line, None) {
@@ -529,8 +535,8 @@ impl SystemBus for Uncore {
         let off = (paddr - pbase) as usize;
         let mut b = [0u8; 4];
         b[..size as usize].copy_from_slice(&line[off..off + size as usize]);
-        self.trace.record(TraceEventKind::Load { core, served });
-        MemAccess { value: u32::from_le_bytes(b), cycles, from_l15: served == ServedBy::L15 }
+        self.trace.record(EventKind::Load { core: core as u32, level });
+        MemAccess { value: u32::from_le_bytes(b), cycles, from_l15: level == Level::L15 }
     }
 
     fn store(&mut self, core: usize, vaddr: u32, paddr: u32, size: u32, value: u32) -> u32 {
@@ -543,7 +549,7 @@ impl SystemBus for Uncore {
         // L1.5 (Sec. 4.3), making dependent data immediately sharable.
         let inclusive_route =
             self.l15(cluster).map(|l15| l15.routes_stores(lane).unwrap_or(false)).unwrap_or(false);
-        self.trace.record(TraceEventKind::Store { core, via_l15: inclusive_route });
+        self.trace.record(EventKind::Store { core: core as u32, via_l15: inclusive_route });
         if inclusive_route {
             let mut cycles = self.cfg.l1d.lat_min; // the L1 pass-through
                                                    // Keep the L1 copy coherent if present (clean: L1.5 owns the
@@ -633,7 +639,7 @@ impl SystemBus for Uncore {
 
     fn l15_ctrl(&mut self, core: usize, op: L15Op, arg: u32) -> CtrlAccess {
         let (cluster, lane) = self.cluster_of(core);
-        self.trace.record(TraceEventKind::Ctrl { core, op, arg });
+        self.trace.record(EventKind::Ctrl { core: core as u32, op: ctrl_kind(op), arg });
         let Some(l15) = self.l15[cluster].as_mut() else {
             return CtrlAccess { value: 0, cycles: 1 };
         };
@@ -647,7 +653,11 @@ impl SystemBus for Uncore {
             L15Op::Supply => l15.supply(lane).map(|m| m.0 as u32).unwrap_or(0),
             L15Op::GvSet => {
                 if let Ok(mask) = l15.gv_set(lane, WayMask::from(arg as u64)) {
-                    self.trace.record(TraceEventKind::GvUpdate { cluster, lane, mask });
+                    self.trace.record(EventKind::GvPublish {
+                        cluster: cluster as u32,
+                        lane: lane as u32,
+                        mask: mask.0 as u32,
+                    });
                 }
                 0
             }
@@ -669,6 +679,7 @@ impl SystemBus for Uncore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use l15_trace::{CtrlKind, FlightRecorder};
 
     fn uncore() -> Uncore {
         Uncore::new(SocConfig::proposed_8core())
@@ -815,47 +826,57 @@ mod tests {
         assert!(s.mem_lines >= 1);
     }
 
+    /// Attaches a flight recorder, runs `f`, and returns what it recorded.
+    fn recorded(u: &mut Uncore, f: impl FnOnce(&mut Uncore)) -> Vec<l15_trace::TraceEvent> {
+        u.trace_mut().set_sink(Box::new(FlightRecorder::new(1 << 12)));
+        f(u);
+        let sink = u.trace_mut().take_sink();
+        sink.into_any().downcast::<FlightRecorder>().expect("a FlightRecorder").to_vec()
+    }
+
     #[test]
     fn monitor_counts_the_dependent_data_route() {
         let mut u = uncore();
-        u.trace_mut().enable();
         {
             let l15 = u.l15_mut(0).unwrap();
             l15.demand(0, 2).unwrap();
             l15.settle();
             l15.ip_set(0, InclusionPolicy::Inclusive).unwrap();
         }
-        u.store(0, 0x4000, 0x4000, 4, 0xfeed);
-        {
+        let events = recorded(&mut u, |u| {
+            u.store(0, 0x4000, 0x4000, 4, 0xfeed);
             let l15 = u.l15_mut(0).unwrap();
             let owned = l15.supply(0).unwrap();
             l15.gv_set(0, owned).unwrap();
-        }
-        u.load(1, 0x4000, 0x4000, 4);
+            u.load(1, 0x4000, 0x4000, 4);
+        });
         let c = u.trace().counters();
         assert_eq!(c.stores_via_l15, 1, "the IPU routed the store");
         assert_eq!(c.loads[1], 1, "the consumer load was served by the L1.5");
-        assert!(u
-            .trace()
-            .events()
-            .any(|e| matches!(e.kind, TraceEventKind::Store { via_l15: true, .. })));
+        assert!(events.iter().any(|e| e.kind == EventKind::Store { core: 0, via_l15: true }));
+        assert!(events.iter().any(|e| e.kind == EventKind::Load { core: 1, level: Level::L15 }));
+        assert!(
+            events.iter().any(|e| matches!(e.kind, EventKind::GvConsume { core: 1, .. })),
+            "the consumer read a way it does not own"
+        );
     }
 
     #[test]
     fn monitor_records_walloc_events() {
         let mut u = uncore();
-        u.trace_mut().enable();
-        u.l15_ctrl(0, L15Op::Demand, 3);
-        u.advance(10);
+        let events = recorded(&mut u, |u| {
+            u.l15_ctrl(0, L15Op::Demand, 3);
+            u.advance(10);
+        });
         let c = u.trace().counters();
         assert_eq!(c.grants, 3);
         assert_eq!(c.ctrl_ops, 1);
-        let grants: Vec<_> = u
-            .trace()
-            .events()
-            .filter(|e| matches!(e.kind, TraceEventKind::WayGrant { .. }))
+        let grants: Vec<_> = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::WayGrant { cluster: 0, lane: 0, .. }))
             .collect();
         assert_eq!(grants.len(), 3);
+        assert_eq!(events[0].kind, EventKind::Ctrl { core: 0, op: CtrlKind::Demand, arg: 3 });
     }
 
     #[test]

@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 echo "==> build (release)"
 cargo build --release --offline
 
+echo "==> benchmark build (perfbench, its own workspace)"
+# The benchmark builds against the crates by path: removing public API it
+# uses must fail here, not only when the benchmark is next run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> test (workspace, sequential pool: L15_JOBS=1)"
 L15_JOBS=1 cargo test -q --offline --workspace
 
@@ -67,6 +72,12 @@ L15_JOBS=4 cargo run --release --offline -q -p l15-bench --bin l15-trace -- benc
 cmp "$tr_seq" "$tr_par"
 cargo run --release --offline -q -p l15-bench --bin l15-trace -- validate "$tr_seq"
 echo "trace artifacts are byte-identical across worker counts and schema-clean"
+
+echo "==> monitor demo (trace_dump example)"
+# Runs the producer/consumer pair with a flight recorder on the monitor;
+# the example asserts that the consumer reads the producer's 77.
+cargo run --release --offline -q --example trace_dump > /dev/null
+echo "trace_dump ran to completion"
 
 echo "==> serve smoke (l15-serve + loadgen, L15_JOBS=1 vs 4 determinism)"
 # A deliberately tiny queue so the loadgen burst saturates it: the run must
