@@ -5,7 +5,7 @@
 use l15_area::{area_of, overhead_percent, L15Geometry, SocAreaSpec};
 
 fn main() {
-    l15_bench::parse_quick("area");
+    l15_testkit::cli::parse_or_exit("area", &[], &[]);
     let prop = area_of(&SocAreaSpec::proposed_16core());
     let legacy = area_of(&SocAreaSpec::legacy_16core());
 

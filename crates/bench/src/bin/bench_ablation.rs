@@ -15,7 +15,8 @@ use l15_core::alg1::{schedule_with_l15_with, Alg1Options, AllocationPolicy};
 use l15_core::baseline::SystemModel;
 use l15_dag::gen::{DagGenParams, DagGenerator};
 use l15_dag::{DagTask, ExecutionTimeModel};
-use l15_testkit::bench::{black_box, Bench};
+use l15_testkit::bench::{self, black_box, Bench};
+use l15_testkit::cli;
 use l15_testkit::rng::SmallRng;
 
 fn tasks(n: usize) -> Vec<DagTask> {
@@ -38,8 +39,8 @@ fn mean_makespan(tasks: &[DagTask], opts: Alg1Options) -> f64 {
 }
 
 fn main() {
-    l15_bench::parse_cli("bench_ablation", &["--samples", "--warmup"]);
-    let bench = Bench::from_args("alg1_ablation");
+    let args = cli::parse_or_exit("bench_ablation", bench::FLAGS, &[]);
+    let bench = Bench::from_cli("alg1_ablation", &args);
     let set = tasks(20);
     let variants = [
         ("paper", Alg1Options::default()),

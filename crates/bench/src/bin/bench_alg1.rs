@@ -8,12 +8,13 @@ use l15_core::alg1::schedule_with_l15;
 use l15_core::baseline::baseline_priorities;
 use l15_dag::gen::{DagGenParams, DagGenerator};
 use l15_dag::ExecutionTimeModel;
-use l15_testkit::bench::{black_box, Bench};
+use l15_testkit::bench::{self, black_box, Bench};
+use l15_testkit::cli;
 use l15_testkit::rng::SmallRng;
 
 fn main() {
-    l15_bench::parse_cli("bench_alg1", &["--samples", "--warmup"]);
-    let bench = Bench::from_args("alg1_plan");
+    let args = cli::parse_or_exit("bench_alg1", bench::FLAGS, &[]);
+    let bench = Bench::from_cli("alg1_plan", &args);
     let etm = ExecutionTimeModel::new(2048).expect("valid way size");
     for p in [9usize, 15, 21] {
         let gen = DagGenerator::new(DagGenParams { max_width: p, ..Default::default() });

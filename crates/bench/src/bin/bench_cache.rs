@@ -5,7 +5,8 @@
 
 use l15_cache::l15::{L15Cache, L15Config, PendingReq, RequestBuffer};
 use l15_cache::WayMask;
-use l15_testkit::bench::{black_box, Bench};
+use l15_testkit::bench::{self, black_box, Bench};
+use l15_testkit::cli;
 
 fn fresh_cache() -> L15Cache {
     let mut c = L15Cache::new(L15Config::default()).expect("paper config is valid");
@@ -16,8 +17,8 @@ fn fresh_cache() -> L15Cache {
 }
 
 fn main() {
-    l15_bench::parse_cli("bench_cache", &["--samples", "--warmup"]);
-    let bench = Bench::from_args("l15");
+    let args = cli::parse_or_exit("bench_cache", bench::FLAGS, &[]);
+    let bench = Bench::from_cli("l15", &args);
 
     {
         let mut cache = fresh_cache();

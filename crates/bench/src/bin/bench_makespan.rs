@@ -7,12 +7,13 @@ use l15_core::baseline::SystemModel;
 use l15_core::casestudy::{generate_case_study, CaseStudyParams};
 use l15_core::periodic::{simulate_taskset, PeriodicParams};
 use l15_dag::gen::{DagGenParams, DagGenerator};
-use l15_testkit::bench::{black_box, Bench};
+use l15_testkit::bench::{self, black_box, Bench};
+use l15_testkit::cli;
 use l15_testkit::rng::SmallRng;
 
 fn main() {
-    l15_bench::parse_cli("bench_makespan", &["--samples", "--warmup"]);
-    let bench = Bench::from_args("makespan");
+    let args = cli::parse_or_exit("bench_makespan", bench::FLAGS, &[]);
+    let bench = Bench::from_cli("makespan", &args);
 
     for (name, model) in [("proposed", SystemModel::proposed()), ("cmp_l1", SystemModel::cmp_l1())]
     {

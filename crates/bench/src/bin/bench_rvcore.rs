@@ -13,7 +13,8 @@ use l15_rvcore::bus::FlatBus;
 use l15_rvcore::core::{Core, TimingConfig};
 use l15_rvcore::superscalar::{capture_trace, estimate_cycles, SuperscalarConfig};
 use l15_soc::{Soc, SocConfig};
-use l15_testkit::bench::{black_box, Bench};
+use l15_testkit::bench::{self, black_box, Bench};
+use l15_testkit::cli;
 
 fn spin_program() -> Vec<u32> {
     let mut a = Assembler::new();
@@ -39,8 +40,8 @@ fn diamond() -> DagTask {
 }
 
 fn main() {
-    l15_bench::parse_cli("bench_rvcore", &["--samples", "--warmup"]);
-    let bench = Bench::from_args("rvcore");
+    let args = cli::parse_or_exit("bench_rvcore", bench::FLAGS, &[]);
+    let bench = Bench::from_cli("rvcore", &args);
 
     {
         let words = spin_program();

@@ -22,6 +22,7 @@ use l15_core::baseline::SystemModel;
 use l15_dag::gen::{DagGenParams, DagGenerator};
 use l15_dag::{textio, ExecutionTimeModel};
 use l15_runtime::emit::EmitOptions;
+use l15_testkit::cli;
 use l15_testkit::diag::format_report;
 use l15_testkit::rng::SmallRng;
 
@@ -153,14 +154,14 @@ fn lint(dir: &Path) -> std::io::Result<usize> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let usage =
-        "usage: corpus gen <dir> [count] | corpus eval <dir> | corpus lint <dir> | corpus --quick";
-    // Unknown subcommands, trailing arguments and malformed counts all
-    // exit non-zero with the usage line (no silently ignored typos).
-    let result = match args.get(1).map(String::as_str) {
+    let args = cli::parse_or_exit("corpus", &[], &["gen DIR [COUNT]", "eval DIR", "lint DIR"]);
+    let words = args.words();
+    if !words.is_empty() {
+        args.only(&[]);
+    }
+    let result = match words[..] {
         // CI smoke: round-trip a tiny corpus through a temp dir.
-        Some("--quick") if args.len() == 2 => {
+        [] if args.quick => {
             let dir = std::env::temp_dir().join(format!("l15-corpus-quick-{}", std::process::id()));
             let r = generate(&dir, 3, env_seed())
                 .and_then(|()| evaluate(&dir))
@@ -175,23 +176,14 @@ fn main() -> ExitCode {
             let _ = fs::remove_dir_all(&dir);
             r
         }
-        Some("gen") if (3..=4).contains(&args.len()) => {
-            let dir = Path::new(&args[2]);
-            let count = match args.get(3) {
-                None => 20usize,
-                Some(c) => match c.parse() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        eprintln!("corpus: count must be a number, got {c:?}\n{usage}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-            };
-            generate(dir, count, env_seed())
+        ["gen", dir, ref count @ ..] => {
+            let count = count.first().map_or(Ok(20), |c| c.parse::<usize>());
+            let count = count.unwrap_or_else(|_| args.reject("COUNT must be a number"));
+            generate(Path::new(dir), count, env_seed())
         }
-        Some("eval") if args.len() == 3 => evaluate(Path::new(&args[2])),
-        Some("lint") if args.len() == 3 => {
-            return match lint(Path::new(&args[2])) {
+        ["eval", dir] => evaluate(Path::new(dir)),
+        ["lint", dir] => {
+            return match lint(Path::new(dir)) {
                 Ok(0) => ExitCode::SUCCESS,
                 Ok(_) => ExitCode::FAILURE,
                 Err(e) => {
@@ -200,10 +192,7 @@ fn main() -> ExitCode {
                 }
             };
         }
-        _ => {
-            eprintln!("{usage}");
-            return ExitCode::FAILURE;
-        }
+        _ => args.reject("a command is required"),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

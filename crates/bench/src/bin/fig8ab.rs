@@ -11,8 +11,8 @@ use l15_bench::{env_seed, env_usize, scaled, success_at};
 use l15_core::baseline::SystemModel;
 
 fn main() {
-    l15_bench::parse_quick("fig8ab");
-    let trials = env_usize("L15_TRIALS", scaled(200, 3));
+    let quick = l15_testkit::cli::parse_or_exit("fig8ab", &[], &[]).quick;
+    let trials = env_usize("L15_TRIALS", scaled(quick, 200, 3));
     let seed = env_seed();
     let systems = [
         ("Prop.", SystemModel::proposed()),

@@ -9,8 +9,8 @@
 use l15_bench::{env_seed, env_usize, scaled, side_effects_at};
 
 fn main() {
-    l15_bench::parse_quick("fig8c");
-    let trials = env_usize("L15_TRIALS", scaled(200, 2));
+    let quick = l15_testkit::cli::parse_or_exit("fig8c", &[], &[]).quick;
+    let trials = env_usize("L15_TRIALS", scaled(quick, 200, 2));
     let seed = env_seed();
     println!("Fig. 8(c) — L1.5 side effects ({trials} trials/point)");
     println!(

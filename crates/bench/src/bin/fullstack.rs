@@ -30,15 +30,15 @@ fn workloads(data: u64) -> Vec<(&'static str, DagTask)> {
 }
 
 fn main() {
-    l15_bench::parse_quick("fullstack");
-    let compute = env_usize("L15_COMPUTE_ITERS", scaled(32, 4)) as u32;
+    let quick = l15_testkit::cli::parse_or_exit("fullstack", &[], &[]).quick;
+    let compute = env_usize("L15_COMPUTE_ITERS", scaled(quick, 32, 4)) as u32;
     let etm = ExecutionTimeModel::new(2048).expect("valid way size");
     println!("Full-stack cycle counts (compute_iters = {compute}):");
     println!(
         "{:>14} {:>8} {:>14} {:>14} {:>9} {:>10}",
         "workload", "data", "proposed", "legacy(L2)", "speedup", "L1.5 hits"
     );
-    let data_points: &[u64] = if l15_bench::quick() { &[4096] } else { &[4096, 8192, 16384] };
+    let data_points: &[u64] = if quick { &[4096] } else { &[4096, 8192, 16384] };
     for &data in data_points {
         for (name, task) in workloads(data) {
             let scale = WorkScale { compute_iters: compute };

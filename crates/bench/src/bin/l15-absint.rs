@@ -90,8 +90,8 @@ fn evaluate(preset: &str, task: &DagTask, compute: u32) -> Row {
 }
 
 fn main() {
-    let quick = l15_bench::parse_quick("l15-absint");
-    let compute = env_usize("L15_COMPUTE_ITERS", scaled(16, 4)) as u32;
+    let quick = l15_testkit::cli::parse_or_exit("l15-absint", &[], &[]).quick;
+    let compute = env_usize("L15_COMPUTE_ITERS", scaled(quick, 16, 4)) as u32;
     let presets: &[&str] = if quick {
         &["proposed_8core", "cmp_l2_8core"]
     } else {

@@ -17,16 +17,16 @@ use l15_bench::{env_seed, env_usize, scaled, success_at_clusters};
 use l15_core::baseline::SystemModel;
 
 fn main() {
-    l15_bench::parse_quick("l15-cluster");
-    let trials = env_usize("L15_TRIALS", scaled(200, 3));
+    let quick = l15_testkit::cli::parse_or_exit("l15-cluster", &[], &[]).quick;
+    let trials = env_usize("L15_TRIALS", scaled(quick, 200, 3));
     let seed = env_seed();
     let systems = [
         ("Prop.", SystemModel::proposed()),
         ("CMP|L1", SystemModel::cmp_l1()),
         ("CMP|L2", SystemModel::cmp_l2()),
     ];
-    let clusters: &[usize] = if l15_bench::quick() { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let utils: &[f64] = if l15_bench::quick() { &[2.0] } else { &[2.0, 4.0, 6.0] };
+    let clusters: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
+    let utils: &[f64] = if quick { &[2.0] } else { &[2.0, 4.0, 6.0] };
 
     for &u in utils {
         println!("\nCluster sweep — success ratio at total utilisation {u:.1} ({trials} trials)");

@@ -31,11 +31,8 @@ use l15_check::fuzz::{check_case, parse_corpus_entry, sweep, FuzzBug};
 use l15_testkit::fuzz::{draw_case, FuzzKnobs};
 use l15_testkit::{cli, prop};
 
-const USAGE: &str = "usage: l15-fuzz run [--quick] [--cases N] [--seed S] [--bug CLASS]\n\
-       l15-fuzz replay [--quick] [--seed S]   (seed also via L15_PROP_SEED=0x…)\n\
-       l15-fuzz corpus <dir>\n\
-       l15-fuzz --quick                       (alias for: run --quick)\n\
-       CLASS: drop-ip-set | leak-ways | skip-gv-set | foreign-tid | racy-write | stuck-walloc";
+const BUG_CLASSES: &str =
+    "drop-ip-set, leak-ways, skip-gv-set, foreign-tid, racy-write, stuck-walloc";
 
 fn parse_bug(name: &str) -> Option<FuzzBug> {
     match name {
@@ -47,20 +44,6 @@ fn parse_bug(name: &str) -> Option<FuzzBug> {
         "stuck-walloc" => Some(FuzzBug::StuckWalloc),
         _ => None,
     }
-}
-
-/// Splits a `--bug CLASS` pair out of the arguments (the generic flag
-/// grammar only knows numeric values).
-fn extract_bug(args: &mut Vec<String>) -> Result<Option<FuzzBug>, String> {
-    let Some(pos) = args.iter().position(|a| a == "--bug") else {
-        return Ok(None);
-    };
-    if pos + 1 >= args.len() {
-        return Err("--bug needs a class name".to_owned());
-    }
-    let name = args.remove(pos + 1);
-    args.remove(pos);
-    parse_bug(&name).map(Some).ok_or_else(|| format!("unknown bug class {name:?}"))
 }
 
 fn knobs_for(quick: bool) -> FuzzKnobs {
@@ -220,62 +203,45 @@ fn replay_seed(flag: Option<u64>) -> Result<u64, String> {
 }
 
 fn main() -> ExitCode {
+    let args = cli::parse_or_exit(
+        "l15-fuzz",
+        &["--cases N", "--seed N", "--bug CLASS"],
+        &["run", "replay", "corpus DIR"],
+    );
+    let bug = args.text("--bug").map(|name| {
+        parse_bug(name).unwrap_or_else(|| {
+            args.reject(&format!("unknown bug class {name:?}; one of {BUG_CLASSES}"))
+        })
+    });
     // Shrinking replays failing cases on purpose; keep the default hook's
     // per-replay backtrace spam off stderr.
     std::panic::set_hook(Box::new(|_| {}));
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let bug = match extract_bug(&mut args) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("l15-fuzz: {e}\n{USAGE}");
-            return ExitCode::from(2);
+    let findings = match args.words()[..] {
+        // `--quick` alone is an alias for `run --quick`.
+        [] if !args.quick => args.reject("a command is required"),
+        [] | ["run"] => {
+            let cases = args.value_or("--cases", if args.quick { 8 } else { 32 });
+            let seed = args.value_or("--seed", l15_bench::env_seed());
+            run(&knobs_for(args.quick), seed, cases, bug)
         }
-    };
-    let findings = match args.first().map(String::as_str) {
-        Some("--quick") if args.len() == 1 => {
-            let knobs = knobs_for(true);
-            run(&knobs, l15_bench::env_seed(), 8, bug)
+        ["replay"] => {
+            args.only(&["--quick", "--seed"]);
+            match replay_seed(args.get("--seed")) {
+                Ok(seed) => replay(&knobs_for(args.quick), seed),
+                Err(e) => args.reject(&e),
+            }
         }
-        Some("run") => {
-            let parsed = match cli::parse_args(&args[1..], &[], &["--cases", "--seed"]) {
-                Ok(p) => p,
+        ["corpus", dir] => {
+            args.only(&[]);
+            match corpus(Path::new(dir)) {
+                Ok(n) => n,
                 Err(e) => {
-                    eprintln!("l15-fuzz: {e}\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            };
-            let knobs = knobs_for(parsed.quick);
-            let cases = parsed.value_or("--cases", if parsed.quick { 8 } else { 32 }) as usize;
-            let seed = parsed.value_or("--seed", l15_bench::env_seed());
-            run(&knobs, seed, cases, bug)
-        }
-        Some("replay") => {
-            let parsed = match cli::parse_args(&args[1..], &[], &["--seed"]) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("l15-fuzz: {e}\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            };
-            match replay_seed(parsed.value("--seed")) {
-                Ok(seed) => replay(&knobs_for(parsed.quick), seed),
-                Err(e) => {
-                    eprintln!("l15-fuzz: {e}\n{USAGE}");
-                    return ExitCode::from(2);
+                    eprintln!("l15-fuzz: {e}");
+                    return ExitCode::FAILURE;
                 }
             }
         }
-        Some("corpus") if args.len() == 2 => match corpus(Path::new(&args[1])) {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("l15-fuzz: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
+        _ => args.reject("no such command"),
     };
     if findings == 0 {
         ExitCode::SUCCESS

@@ -26,9 +26,9 @@ use std::process::ExitCode;
 
 use l15_bench::{env_seed, scaled};
 use l15_online::{run_stream, Decision, ModeSwitchSpec, OnlineConfig, StreamParams};
-use l15_serve::json::{num_array, Obj};
 use l15_testkit::arrivals::SporadicParams;
-use l15_testkit::pool;
+use l15_testkit::{cli, pool};
+use l15_trace::json::{num_array, Obj};
 
 /// The swept mean inter-arrival gaps, virtual cycles.
 fn gaps(quick: bool) -> &'static [u64] {
@@ -61,8 +61,8 @@ struct LatencyReport {
 
 /// The reference stream: sporadic arrivals with one mid-stream mode
 /// change, latencies in arrival order.
-fn latency_experiment(seed: u64) -> LatencyReport {
-    let count = scaled(64, 16);
+fn latency_experiment(seed: u64, quick: bool) -> LatencyReport {
+    let count = scaled(quick, 64, 16);
     let params = StreamParams {
         seed,
         arrivals: SporadicParams { count, min_gap: 4_000, max_extra: 8_000 },
@@ -111,8 +111,8 @@ impl RatePoint {
 
 /// One point of the success-ratio curve: `trials` independent streams at
 /// this mean gap, aggregated in trial order.
-fn rate_point(seed: u64, mean_gap: u64, trials: usize) -> RatePoint {
-    let count = scaled(32, 12);
+fn rate_point(seed: u64, mean_gap: u64, trials: usize, quick: bool) -> RatePoint {
+    let count = scaled(quick, 32, 12);
     let outcomes = pool::run(trials, |t| {
         let params = StreamParams {
             seed: pool::item_seed(seed ^ mean_gap, t),
@@ -164,31 +164,10 @@ fn render_json(seed: u64, quick: bool, lat: &LatencyReport, curve: &[RatePoint])
     root.finish()
 }
 
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if pos + 1 >= args.len() {
-        return Err(format!("{flag} needs a value"));
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Ok(Some(value))
-}
-
-fn run(mut args: Vec<String>) -> Result<(), String> {
-    let out = take_flag(&mut args, "--out")?;
-    let quick = args.iter().any(|a| a == "--quick");
-    args.retain(|a| a != "--quick");
-    if !args.is_empty() {
-        return Err(format!(
-            "unknown argument `{}`\nusage: l15-online [--quick] [--out FILE]",
-            args[0]
-        ));
-    }
+fn run(quick: bool, out: Option<&str>) -> Result<(), String> {
     let seed = env_seed();
 
-    let lat = latency_experiment(seed);
+    let lat = latency_experiment(seed, quick);
     println!("Online admission latency ({} decisions, virtual cycles)", lat.decisions);
     println!("{:>12}{:>10}{:>10}{:>10}{:>10}", "", "p50", "p90", "p99", "max");
     for (name, sample) in [("admission", &lat.admission), ("replan", &lat.replan)] {
@@ -203,10 +182,11 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
     }
     println!("mode change reclaimed {} standing ways", lat.reclaimed_ways);
 
-    let trials = scaled(24, 6);
+    let trials = scaled(quick, 24, 6);
     println!("\nSuccess ratio vs arrival rate ({trials} trials per point)");
     println!("{:>16}{:>12}{:>12}{:>10}", "mean gap", "submitted", "admitted", "ratio");
-    let curve: Vec<RatePoint> = gaps(quick).iter().map(|&g| rate_point(seed, g, trials)).collect();
+    let curve: Vec<RatePoint> =
+        gaps(quick).iter().map(|&g| rate_point(seed, g, trials, quick)).collect();
     for p in &curve {
         println!("{:>16}{:>12}{:>12}{:>10.3}", p.mean_gap, p.submitted, p.admitted, p.ratio());
     }
@@ -214,7 +194,7 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
     let json = render_json(seed, quick, &lat, &curve);
     match out {
         Some(path) => {
-            std::fs::write(&path, json + "\n").map_err(|e| format!("writing artifact: {e}"))?
+            std::fs::write(path, json + "\n").map_err(|e| format!("writing artifact: {e}"))?
         }
         None => println!("\n{json}"),
     }
@@ -222,8 +202,8 @@ fn run(mut args: Vec<String>) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(args) {
+    let args = cli::parse_or_exit("l15-online", &["--out FILE"], &[]);
+    match run(args.quick, args.text("--out")) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("l15-online: {e}");

@@ -33,13 +33,16 @@ use l15_runtime::kernel::{KernelConfig, RunReport};
 use l15_runtime::run_task_traced;
 use l15_runtime::workgen::WorkScale;
 use l15_soc::{Soc, SocConfig};
-use l15_testkit::pool;
+use l15_testkit::{cli, pool};
 use l15_trace::span::Spans;
 use l15_trace::{chrome, gantt, schema, FlightRecorder};
 
 /// Ring capacity for CLI captures — ample for the preset workloads, and
 /// a fixed constant so the artifact bytes never depend on the host.
 const CAPTURE_EVENTS: usize = 1 << 18;
+
+/// The preset the smoke run and `bench` capture on.
+const DEFAULT_PRESET: &str = "proposed_8core";
 
 /// Cycle budget for one preset workload run.
 const MAX_CYCLES: u64 = 5_000_000;
@@ -157,8 +160,8 @@ fn cmd_validate(path: &str) -> Result<(), String> {
 /// `bench`: the fig7-style artifact — several DAG instances captured in
 /// parallel across the pool, assembled one Chrome process per instance.
 fn cmd_bench(out: Option<&str>) -> Result<(), String> {
-    let n = l15_bench::env_usize("L15_DAGS", l15_bench::scaled(6, 3));
-    let preset = "proposed_8core";
+    let n = l15_bench::env_usize("L15_DAGS", 6);
+    let preset = DEFAULT_PRESET;
     let runs = pool::run(n, |i| {
         // Width varies per instance so the artifact shows differently
         // shaped schedules side by side.
@@ -187,7 +190,7 @@ fn cmd_bench(out: Option<&str>) -> Result<(), String> {
 /// `--quick` / default smoke: capture, validate, then the Gantt diff.
 fn cmd_smoke() -> Result<(), String> {
     let task = workload(3);
-    let preset = "proposed_8core";
+    let preset = DEFAULT_PRESET;
     let (report, rec, _plan) = capture_run(preset, &task)?;
     let json = chrome::export(preset, &rec);
     let stats = schema::validate(&json)
@@ -209,39 +212,38 @@ fn cmd_smoke() -> Result<(), String> {
     Ok(())
 }
 
-/// Pulls the value of `--flag VALUE` out of `args`, if present.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if pos + 1 >= args.len() {
-        return Err(format!("{flag} needs a value"));
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Ok(Some(value))
-}
-
-fn run(mut args: Vec<String>) -> Result<(), String> {
-    let preset = take_flag(&mut args, "--preset")?.unwrap_or_else(|| "proposed_8core".to_owned());
-    let out = take_flag(&mut args, "--out")?;
-    match args.first().map(String::as_str) {
-        None => cmd_smoke(),
-        Some("--quick") if args.len() == 1 => cmd_smoke(),
-        Some("capture") if args.len() == 1 => cmd_capture(&preset, out.as_deref()),
-        Some("gantt") if args.len() == 1 => cmd_gantt(&preset),
-        Some("validate") if args.len() == 2 => cmd_validate(&args[1]),
-        Some("bench") if args.len() == 1 => cmd_bench(out.as_deref()),
-        _ => Err(String::from(
-            "usage: l15-trace [--quick] | capture [--preset P] [--out F] | \
-             gantt [--preset P] | validate FILE | bench [--out F]",
-        )),
-    }
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(args) {
+    let args = cli::parse_or_exit(
+        "l15-trace",
+        &["--preset P", "--out FILE"],
+        &["capture", "gantt", "validate FILE", "bench"],
+    );
+    let preset = args.text("--preset").unwrap_or(DEFAULT_PRESET);
+    let out = args.text("--out");
+    let result = match args.words()[..] {
+        [] => {
+            args.only(&["--quick"]);
+            cmd_smoke()
+        }
+        ["capture"] => {
+            args.only(&["--preset", "--out"]);
+            cmd_capture(preset, out)
+        }
+        ["gantt"] => {
+            args.only(&["--preset"]);
+            cmd_gantt(preset)
+        }
+        ["validate", path] => {
+            args.only(&[]);
+            cmd_validate(path)
+        }
+        ["bench"] => {
+            args.only(&["--out"]);
+            cmd_bench(out)
+        }
+        _ => args.reject("no such command"),
+    };
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("l15-trace: {e}");

@@ -42,8 +42,17 @@ use l15_testkit::pool;
 use l15_testkit::rng::SmallRng;
 
 const BIN: &str = "loadgen";
-const BOOL_FLAGS: &[&str] = &["--smoke", "--open", "--sporadic", "--shutdown"];
-const VALUE_FLAGS: &[&str] = &["--port", "--conns", "--requests", "--seed", "--rate"];
+const FLAGS: &[&str] = &[
+    "--smoke",
+    "--open",
+    "--sporadic",
+    "--shutdown",
+    "--port N",
+    "--conns N",
+    "--requests N",
+    "--seed N",
+    "--rate N",
+];
 const TIMEOUT: Duration = Duration::from_secs(30);
 /// Hard cap on 503-retries per request before declaring the server stuck.
 const MAX_ATTEMPTS: u64 = 100_000;
@@ -78,14 +87,12 @@ struct Outcome {
 }
 
 fn build_plan(args: &cli::Parsed) -> Plan {
-    let Some(port) = args.value("--port") else {
-        eprintln!("{BIN}: --port is required (start l15-serve first)");
-        eprintln!("{}", cli::usage(BIN, BOOL_FLAGS, VALUE_FLAGS));
-        std::process::exit(2);
+    let Some(port) = args.get::<u16>("--port") else {
+        args.reject("--port is required (start l15-serve first)");
     };
     let quick = args.quick || args.flag("--smoke");
-    let requests = args.value_or("--requests", if quick { 48 } else { 512 }) as usize;
-    let conns = args.value_or("--conns", if quick { 8 } else { 16 }) as usize;
+    let requests = args.value_or("--requests", if quick { 48 } else { 512 });
+    let conns = args.value_or("--conns", if quick { 8 } else { 16 });
     let seed = args.value_or("--seed", 42);
     let rate = args.value_or("--rate", 200);
 
@@ -112,7 +119,7 @@ fn build_plan(args: &cli::Parsed) -> Plan {
         })
         .collect();
     Plan {
-        addr: SocketAddr::from(([127, 0, 0, 1], port as u16)),
+        addr: SocketAddr::from(([127, 0, 0, 1], port)),
         requests,
         conns: conns.max(1),
         open: args.flag("--open"),
@@ -289,7 +296,7 @@ fn run_sporadic(plan: &Plan, args: &cli::Parsed) {
 }
 
 fn main() {
-    let args = cli::parse_or_exit(BIN, BOOL_FLAGS, VALUE_FLAGS);
+    let args = cli::parse_or_exit(BIN, FLAGS, &[]);
     let plan = build_plan(&args);
 
     if !matches!(client::get(plan.addr, "/healthz", TIMEOUT), Ok(r) if r.status == 200) {

@@ -3,8 +3,8 @@ use l15_dag::gen::{DagGenParams, DagGenerator};
 use l15_testkit::rng::SmallRng;
 
 fn main() {
-    l15_bench::parse_quick("probe");
-    let n_dags = l15_bench::scaled(100, 5);
+    let quick = l15_testkit::cli::parse_or_exit("probe", &[], &[]).quick;
+    let n_dags = l15_bench::scaled(quick, 100, 5);
     let instances = 10;
     let cores = 8;
     for u in [0.2, 0.4, 0.6, 0.8, 1.0] {

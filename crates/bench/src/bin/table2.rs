@@ -12,9 +12,9 @@ use l15_bench::{env_seed, env_usize, makespan_sweep, scaled, Sweep};
 use l15_core::baseline::SystemModel;
 
 fn main() {
-    l15_bench::parse_quick("table2");
-    let n_dags = env_usize("L15_DAGS", scaled(500, 8));
-    let instances = env_usize("L15_INSTANCES", scaled(10, 3));
+    let quick = l15_testkit::cli::parse_or_exit("table2", &[], &[]).quick;
+    let n_dags = env_usize("L15_DAGS", scaled(quick, 500, 8));
+    let instances = env_usize("L15_INSTANCES", scaled(quick, 10, 3));
     let cores = env_usize("L15_CORES", 8);
     let seed = env_seed();
     let systems = [SystemModel::cmp_l1(), SystemModel::proposed()];

@@ -12,15 +12,16 @@
 //!
 //! Scale knobs come from the environment: `L15_DAGS` (default 500, the
 //! paper's count), `L15_TRIALS` (default 200), `L15_SEED` (default 1).
-//! Every binary also accepts `--quick`, shrinking its workload to a
-//! seconds-scale smoke run (used by `scripts/ci.sh`). Timing
-//! micro-benches are the `bench_*` binaries, built on
+//! Every binary parses its command line with [`l15_testkit::cli`], the
+//! workspace's one argument parser: all accept `--quick`, shrinking the
+//! workload to a seconds-scale smoke run (used by `scripts/ci.sh`), and
+//! all reject a bad argument with the usage line and exit status 2.
+//! Timing micro-benches are the `bench_*` binaries, built on
 //! [`l15_testkit::bench`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use l15_testkit::cli;
 use l15_testkit::pool;
 use l15_testkit::rng::SmallRng;
 
@@ -41,12 +42,6 @@ pub fn env_seed() -> u64 {
     env_usize("L15_SEED", 1) as u64
 }
 
-/// True when `--quick` is on the command line: binaries shrink their
-/// workload to a seconds-scale smoke run (CI bit-rot protection).
-pub fn quick() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
 /// Deterministic parallel map over `n` independent sweep items on the
 /// [`l15_testkit::pool`] workers (`L15_JOBS`; 1 = sequential). Results
 /// come back in index order, so aggregation matches a sequential loop
@@ -56,41 +51,10 @@ pub fn par_sweep<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     pool::run(n, f)
 }
 
-/// The common CLI flags of the experiment binaries, validated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CliFlags {
-    /// `--quick` was given.
-    pub quick: bool,
-}
-
-/// Parses binary arguments (program name already stripped). `value_flags`
-/// lists extra flags that consume one numeric value (the timing binaries'
-/// `--samples`/`--warmup`). Unknown arguments are an error — no more
-/// silently ignored typos.
-///
-/// Thin wrapper over [`l15_testkit::cli::parse_args`], the unified flag
-/// grammar shared with the `l15-serve`/`loadgen` binaries.
-pub fn parse_cli_from(args: &[String], value_flags: &[&str]) -> Result<CliFlags, String> {
-    cli::parse_args(args, &[], value_flags).map(|p| CliFlags { quick: p.quick })
-}
-
-/// [`parse_cli_from`] over the real command line; prints usage and exits
-/// with status 2 on invalid arguments. Every experiment binary calls this
-/// (directly or via [`parse_quick`]) as its first statement.
-pub fn parse_cli(bin: &str, value_flags: &[&str]) -> CliFlags {
-    let p = cli::parse_or_exit(bin, &[], value_flags);
-    CliFlags { quick: p.quick }
-}
-
-/// CLI entry for the figure/table binaries, which accept only `--quick`.
-pub fn parse_quick(bin: &str) -> bool {
-    parse_cli(bin, &[]).quick
-}
-
-/// `full` normally, `quick` under [`quick`] — the standard pattern for
-/// scale knobs in the figure binaries.
-pub fn scaled(full: usize, quick_value: usize) -> usize {
-    if quick() {
+/// `full` normally, `quick_value` under `--quick` — the standard pattern
+/// for scale knobs in the figure binaries.
+pub fn scaled(quick: bool, full: usize, quick_value: usize) -> usize {
+    if quick {
         quick_value
     } else {
         full
@@ -393,57 +357,6 @@ mod tests {
             })
         };
         assert_eq!(eval(1), eval(4));
-    }
-
-    #[test]
-    fn cli_accepts_quick_and_value_flags() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_cli_from(&args(&[]), &[]), Ok(CliFlags { quick: false }));
-        assert_eq!(parse_cli_from(&args(&["--quick"]), &[]), Ok(CliFlags { quick: true }));
-        let timing = ["--samples", "--warmup"];
-        assert_eq!(
-            parse_cli_from(&args(&["--samples", "30", "--quick"]), &timing),
-            Ok(CliFlags { quick: true })
-        );
-    }
-
-    #[test]
-    fn cli_covers_the_service_binaries() {
-        // The `l15-serve` and `loadgen` binaries share the unified flag
-        // grammar (l15_testkit::cli). Keep their declared flag sets
-        // parsing here so a drive-by rename cannot silently break them.
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let serve_flags = ["--port", "--queue", "--batch", "--deadline-ms", "--max-body"];
-        let p = cli::parse_args(
-            &args(&["--port", "0", "--queue", "8", "--batch", "4", "--quick"]),
-            &[],
-            &serve_flags,
-        )
-        .unwrap();
-        assert!(p.quick);
-        assert_eq!(p.value("--queue"), Some(8));
-        assert_eq!(p.value_or("--deadline-ms", 2000), 2000);
-
-        let loadgen_bools = ["--smoke", "--open", "--shutdown"];
-        let loadgen_values = ["--port", "--conns", "--requests", "--seed", "--rate"];
-        let p = cli::parse_args(
-            &args(&["--port", "8080", "--open", "--rate", "200", "--seed", "7"]),
-            &loadgen_bools,
-            &loadgen_values,
-        )
-        .unwrap();
-        assert!(p.flag("--open") && !p.flag("--smoke"));
-        assert_eq!(p.value("--rate"), Some(200));
-        assert!(cli::parse_args(&args(&["--prot", "1"]), &loadgen_bools, &loadgen_values).is_err());
-    }
-
-    #[test]
-    fn cli_rejects_unknown_and_malformed_arguments() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(parse_cli_from(&args(&["--qiuck"]), &[]).is_err(), "typo must not be ignored");
-        assert!(parse_cli_from(&args(&["--samples", "30"]), &[]).is_err());
-        assert!(parse_cli_from(&args(&["--samples"]), &["--samples"]).is_err());
-        assert!(parse_cli_from(&args(&["--samples", "many"]), &["--samples"]).is_err());
     }
 
     #[test]

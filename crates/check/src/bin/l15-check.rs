@@ -23,8 +23,8 @@ use l15_dag::gen::{DagGenParams, DagGenerator};
 use l15_dag::{DagTask, ExecutionTimeModel};
 use l15_runtime::emit::EmitOptions;
 use l15_testkit::diag::format_report;
-use l15_testkit::pool;
 use l15_testkit::rng::SmallRng;
+use l15_testkit::{cli, pool};
 
 fn env_seed() -> u64 {
     std::env::var("L15_SEED").ok().and_then(|v| v.trim().parse().ok()).unwrap_or(1)
@@ -129,16 +129,14 @@ fn lint(dir: &Path) -> Result<usize, String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let usage = "usage: l15-check [--quick] | l15-check lint <dir>";
-    let result = match args.get(1).map(String::as_str) {
-        None => sweep(false),
-        Some("--quick") if args.len() == 2 => sweep(true),
-        Some("lint") if args.len() == 3 => lint(Path::new(&args[2])),
-        _ => {
-            eprintln!("{usage}");
-            return ExitCode::from(2);
+    let args = cli::parse_or_exit("l15-check", &[], &["lint DIR"]);
+    let result = match args.words()[..] {
+        [] => sweep(args.quick),
+        ["lint", dir] => {
+            args.only(&[]);
+            lint(Path::new(dir))
         }
+        _ => args.reject("no such command"),
     };
     match result {
         Ok(0) => {

@@ -4,7 +4,7 @@
 
 use std::fmt::Write as _;
 
-use crate::model::{Dag, NodeId};
+use crate::model::Dag;
 
 /// Optional per-node annotations (priority, allocated ways).
 #[derive(Debug, Clone, Default)]
@@ -58,17 +58,6 @@ pub fn to_dot(dag: &Dag, name: &str, ann: &DotAnnotations) -> String {
     out
 }
 
-/// Convenience: DOT without annotations.
-pub fn to_dot_plain(dag: &Dag, name: &str) -> String {
-    to_dot(dag, name, &DotAnnotations::default())
-}
-
-/// Returns the node ids in the order they appear in the DOT output
-/// (useful for deterministic diffing in tests).
-pub fn dot_node_order(dag: &Dag) -> Vec<NodeId> {
-    dag.node_ids().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,9 +72,9 @@ mod tests {
     }
 
     #[test]
-    fn plain_dot_contains_all_elements() {
+    fn unannotated_dot_contains_all_elements() {
         let d = tiny();
-        let dot = to_dot_plain(&d, "tiny");
+        let dot = to_dot(&d, "tiny", &DotAnnotations::default());
         assert!(dot.starts_with("digraph \"tiny\""));
         assert!(dot.contains("n0 ["));
         assert!(dot.contains("n1 ["));
@@ -112,7 +101,7 @@ mod tests {
     #[test]
     fn source_and_sink_are_marked() {
         let d = tiny();
-        let dot = to_dot_plain(&d, "t");
+        let dot = to_dot(&d, "t", &DotAnnotations::default());
         let marks = dot.matches("doublecircle").count();
         assert_eq!(marks, 2);
     }

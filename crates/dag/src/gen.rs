@@ -266,19 +266,6 @@ impl DagGenerator {
 
         DagTask::new(dag, period, period)
     }
-
-    /// Generates `count` independent DAG tasks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first generation error (invalid parameters).
-    pub fn generate_batch<R: Rng + ?Sized>(
-        &self,
-        count: usize,
-        rng: &mut R,
-    ) -> Result<Vec<DagTask>, DagError> {
-        (0..count).map(|_| self.generate(rng)).collect()
-    }
 }
 
 /// Iteratively rescales node WCETs so the longest computation-only path
@@ -426,12 +413,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_generates_distinct_tasks() {
+    fn successive_draws_generate_distinct_tasks() {
         let gen = DagGenerator::new(DagGenParams::default());
-        let batch = gen.generate_batch(5, &mut rng(13)).unwrap();
-        assert_eq!(batch.len(), 5);
+        let mut r = rng(13);
         let counts: std::collections::HashSet<usize> =
-            batch.iter().map(|t| t.graph().node_count()).collect();
+            (0..5).map(|_| gen.generate(&mut r).unwrap().graph().node_count()).collect();
         // Extremely unlikely that all five have identical node counts.
         assert!(counts.len() > 1);
     }

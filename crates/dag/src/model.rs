@@ -423,11 +423,6 @@ impl DagTask {
     pub fn utilisation(&self) -> f64 {
         self.graph.total_work() / self.period
     }
-
-    /// Consumes the task and returns the underlying graph.
-    pub fn into_graph(self) -> Dag {
-        self.graph
-    }
 }
 
 #[cfg(test)]

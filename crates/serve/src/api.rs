@@ -21,10 +21,10 @@ use l15_runtime::emit::EmitOptions;
 use l15_runtime::kernel::{run_task, KernelConfig, KernelError};
 use l15_runtime::{run_task_traced, WorkScale};
 use l15_soc::{Soc, SocConfig};
+use l15_trace::json::{self, Obj};
 use l15_trace::{chrome, Category};
 
 use crate::http::{Request, Response};
-use crate::json::{self, Obj};
 use crate::metrics::Endpoint;
 
 /// Validation caps of the compute endpoints (the HTTP-level body cap lives

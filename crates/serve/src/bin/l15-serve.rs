@@ -18,14 +18,14 @@ use l15_testkit::cli;
 fn main() {
     let args = cli::parse_or_exit(
         "l15-serve",
+        &["--port N", "--queue N", "--batch N", "--deadline-ms N", "--max-body N"],
         &[],
-        &["--port", "--queue", "--batch", "--deadline-ms", "--max-body"],
     );
-    let mut cfg = ServeConfig { port: args.value_or("--port", 0) as u16, ..ServeConfig::default() };
-    cfg.queue_capacity = args.value_or("--queue", cfg.queue_capacity as u64) as usize;
-    cfg.batch_max = args.value_or("--batch", cfg.batch_max as u64) as usize;
+    let mut cfg = ServeConfig { port: args.value_or("--port", 0), ..ServeConfig::default() };
+    cfg.queue_capacity = args.value_or("--queue", cfg.queue_capacity);
+    cfg.batch_max = args.value_or("--batch", cfg.batch_max);
     cfg.deadline = Duration::from_millis(args.value_or("--deadline-ms", 2000));
-    cfg.max_body = args.value_or("--max-body", cfg.max_body as u64) as usize;
+    cfg.max_body = args.value_or("--max-body", cfg.max_body);
     if args.quick {
         cfg.limits.max_sim_nodes = 16;
         cfg.limits.max_sim_cycles = 2_000_000;

@@ -162,7 +162,7 @@ impl Response {
 
     /// A JSON error envelope: `{"error": "..."}`.
     pub fn error(status: u16, message: &str) -> Self {
-        Response::json(status, format!("{{\"error\":{}}}", crate::json::string(message)))
+        Response::json(status, format!("{{\"error\":{}}}", l15_trace::json::string(message)))
     }
 
     /// Adds a header.

@@ -41,7 +41,6 @@
 pub mod api;
 pub mod client;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod online;
 pub mod queue;

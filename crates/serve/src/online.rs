@@ -25,10 +25,10 @@
 use std::sync::Mutex;
 
 use l15_online::{Decision, ModeError, OnlineConfig, OnlineSession};
+use l15_trace::json::Obj;
 
 use crate::api::{parse_body, Limits};
 use crate::http::{Request, Response};
-use crate::json::Obj;
 use crate::metrics::ServeMetrics;
 
 /// The persistent online session behind `/submit` and `/jobs`.

@@ -372,3 +372,13 @@ fn online_session_over_the_wire() {
     assert_eq!(r.status, 405);
     handle.shutdown();
 }
+
+#[test]
+fn a_port_above_u16_max_exits_2() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_l15-serve"))
+        .args(["--port", "70000"])
+        .output()
+        .expect("l15-serve runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: l15-serve"));
+}

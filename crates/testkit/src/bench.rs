@@ -1,20 +1,27 @@
 //! A tiny wall-clock timing harness — the in-tree replacement for the
 //! criterion benches.
 //!
-//! Each benchmark binary builds a [`Bench`] from its CLI args and calls
-//! [`Bench::run`] per measured routine. In quick mode (`--quick`, used by
-//! `scripts/ci.sh`) every routine executes exactly once as a smoke test;
-//! otherwise it is warmed up and sampled repeatedly, and min / median /
-//! mean times are printed.
+//! Each benchmark binary declares [`FLAGS`], builds a [`Bench`] from its
+//! parsed arguments and calls [`Bench::run`] per measured routine. In
+//! quick mode (`--quick`, used by `scripts/ci.sh`) every routine executes
+//! exactly once as a smoke test; otherwise it is warmed up and sampled
+//! repeatedly, and min / median / mean times are printed.
 //!
 //! ```no_run
-//! let bench = l15_testkit::bench::Bench::from_args("alg1");
+//! use l15_testkit::{bench, cli};
+//! let args = cli::parse_or_exit("bench_alg1", bench::FLAGS, &[]);
+//! let bench = bench::Bench::from_cli("alg1", &args);
 //! bench.run("alg1/8x16", || {
 //!     // ... workload under test ...
 //! });
 //! ```
 
 use std::time::{Duration, Instant};
+
+use crate::cli::Parsed;
+
+/// The flags every timing binary declares to the [`crate::cli`] parser.
+pub const FLAGS: &[&str] = &["--samples N", "--warmup N"];
 
 /// Harness state shared by every measured routine in one binary.
 #[derive(Debug, Clone)]
@@ -26,23 +33,12 @@ pub struct Bench {
 }
 
 impl Bench {
-    /// Builds a harness for `suite`, reading flags from `std::env::args`:
-    /// `--quick` (single smoke iteration), `--samples N`, `--warmup N`.
-    pub fn from_args(suite: &str) -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let flag = |name: &str| args.iter().any(|a| a == name);
-        let value = |name: &str| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse::<u32>().ok())
-        };
-        Bench {
-            suite: suite.to_owned(),
-            quick: flag("--quick"),
-            samples: value("--samples").unwrap_or(20).max(1),
-            warmup: value("--warmup").unwrap_or(3),
-        }
+    /// Builds a harness for `suite` from arguments parsed against
+    /// [`FLAGS`]: `--quick` (single smoke iteration), `--samples N`
+    /// (default 20) and `--warmup N` (default 3). A count above
+    /// `u32::MAX` is rejected like any bad argument.
+    pub fn from_cli(suite: &str, args: &Parsed) -> Self {
+        Bench::new(suite, args.quick, args.value_or("--samples", 20), args.value_or("--warmup", 3))
     }
 
     /// Constructs a harness directly (for tests).

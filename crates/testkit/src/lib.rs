@@ -25,9 +25,9 @@
 //!   bit-for-bit.
 //! * [`bench`] — a wall-clock timing harness with a `--quick` smoke
 //!   mode, replacing the criterion benches.
-//! * [`cli`] — the unified flag grammar of every workspace binary
-//!   (`--quick`, declared boolean and numeric value flags; unknown flags
-//!   exit 2 with usage).
+//! * [`cli`] — the one command-line parser of every workspace binary
+//!   (`--quick`, declared boolean, numeric and text flags, positional
+//!   forms; a bad argument exits 2 with usage).
 //! * [`diag`] — the canonical single-line rendering of checker
 //!   diagnostics, shared by the `l15-check` binary, the `POST /check`
 //!   endpoint and the mutation tests so a finding is byte-identical on

@@ -17,33 +17,13 @@
 //! are aggregated into the per-process totals in `otherData` instead of
 //! being exported as millions of instants.
 
-use std::fmt::Write as _;
-
 use crate::event::{Category, EventKind};
+use crate::json::{int_array, Obj};
 use crate::recorder::FlightRecorder;
 use crate::span::Spans;
 
 /// `tid` of the SDU/Walloc row for cluster 0 (`64 + cluster`).
 pub const SDU_TID_BASE: u32 = 64;
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Per-recording aggregate of the high-volume categories.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,29 +58,27 @@ impl Totals {
     }
 
     fn render(&self) -> String {
-        format!(
-            concat!(
-                "{{\"fetches\":[{},{},{},{}],\"loads\":[{},{},{},{}],",
-                "\"stores_via_l15\":{},\"stores_conventional\":{},",
-                "\"if_stall\":{},\"ma_stall\":{},\"hazard\":{},\"flush\":{},\"ex\":{}}}"
-            ),
-            self.fetches[0],
-            self.fetches[1],
-            self.fetches[2],
-            self.fetches[3],
-            self.loads[0],
-            self.loads[1],
-            self.loads[2],
-            self.loads[3],
-            self.stores_via_l15,
-            self.stores_conventional,
-            self.if_stall,
-            self.ma_stall,
-            self.hazard,
-            self.flush,
-            self.ex,
-        )
+        let mut o = Obj::new();
+        o.raw("fetches", &int_array(self.fetches))
+            .raw("loads", &int_array(self.loads))
+            .int("stores_via_l15", self.stores_via_l15)
+            .int("stores_conventional", self.stores_conventional)
+            .int("if_stall", self.if_stall)
+            .int("ma_stall", self.ma_stall)
+            .int("hazard", self.hazard)
+            .int("flush", self.flush)
+            .int("ex", self.ex);
+        o.finish()
     }
+}
+
+/// An args object of integer fields, in the given order.
+fn ints(fields: &[(&str, u32)]) -> String {
+    let mut o = Obj::new();
+    for &(k, v) in fields {
+        o.int(k, u64::from(v));
+    }
+    o.finish()
 }
 
 /// Builds a Chrome trace out of one or more recordings.
@@ -117,27 +95,34 @@ impl ChromeTrace {
         ChromeTrace::default()
     }
 
+    /// The fields every event line starts with.
+    fn event(name: &str, cat: &str, ph: &str) -> Obj {
+        let mut o = Obj::new();
+        o.str("name", name).str("cat", cat).str("ph", ph);
+        o
+    }
+
     fn meta(&mut self, pid: u32, tid: u32, name: &str, value: &str) {
-        self.lines.push(format!(
-            "{{\"name\":\"{name}\",\"cat\":\"__metadata\",\"ph\":\"M\",\"ts\":0,\
-             \"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-            escape(value)
-        ));
+        let mut args = Obj::new();
+        args.str("name", value);
+        let mut o = Self::event(name, "__metadata", "M");
+        o.int("ts", 0).int("pid", pid.into()).int("tid", tid.into()).raw("args", &args.finish());
+        self.lines.push(o.finish());
     }
 
     #[allow(clippy::too_many_arguments)]
     fn span(&mut self, pid: u32, tid: u32, name: &str, cat: &str, ts: u64, dur: u64, args: &str) {
-        self.lines.push(format!(
-            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\
-             \"pid\":{pid},\"tid\":{tid},\"args\":{args}}}"
-        ));
+        let mut o = Self::event(name, cat, "X");
+        o.int("ts", ts).int("dur", dur).int("pid", pid.into()).int("tid", tid.into());
+        o.raw("args", args);
+        self.lines.push(o.finish());
     }
 
     fn instant(&mut self, pid: u32, tid: u32, name: &str, cat: &str, ts: u64, args: &str) {
-        self.lines.push(format!(
-            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\
-             \"pid\":{pid},\"tid\":{tid},\"args\":{args}}}"
-        ));
+        let mut o = Self::event(name, cat, "i");
+        o.str("s", "t").int("ts", ts).int("pid", pid.into()).int("tid", tid.into());
+        o.raw("args", args);
+        self.lines.push(o.finish());
     }
 
     /// Adds one recording as process `pid` named `name`.
@@ -185,89 +170,39 @@ impl ChromeTrace {
         }
 
         for s in &spans.nodes {
-            self.span(
-                pid,
-                s.core,
-                &format!("node {}", s.node),
-                "node",
-                s.start,
-                s.duration(),
-                &format!("{{\"node\":{},\"truncated\":{}}}", s.node, s.truncated),
-            );
+            let mut args = Obj::new();
+            args.int("node", s.node.into()).bool("truncated", s.truncated);
+            let name = format!("node {}", s.node);
+            self.span(pid, s.core, &name, "node", s.start, s.duration(), &args.finish());
         }
         for w in &spans.walloc {
-            self.span(
-                pid,
-                w.core,
-                "walloc",
-                "kernel",
-                w.start,
-                w.duration(),
-                &format!("{{\"want\":{},\"got\":{},\"truncated\":{}}}", w.want, w.got, w.truncated),
-            );
+            let mut args = Obj::new();
+            args.int("want", w.want.into()).int("got", w.got.into()).bool("truncated", w.truncated);
+            self.span(pid, w.core, "walloc", "kernel", w.start, w.duration(), &args.finish());
         }
 
         for ev in &events {
-            let (cat, name) = (ev.kind.category().name(), ev.kind.name());
-            match ev.kind {
-                EventKind::Ctrl { core, arg, .. } => {
-                    self.instant(pid, core, name, cat, ev.cycle, &format!("{{\"arg\":{arg}}}"));
-                }
+            let sdu = |cluster: u32| SDU_TID_BASE + cluster;
+            let (tid, args) = match ev.kind {
+                EventKind::Ctrl { core, arg, .. } => (core, ints(&[("arg", arg)])),
                 EventKind::WayGrant { cluster, lane, way } => {
-                    self.instant(
-                        pid,
-                        SDU_TID_BASE + cluster,
-                        name,
-                        cat,
-                        ev.cycle,
-                        &format!("{{\"lane\":{lane},\"way\":{way}}}"),
-                    );
+                    (sdu(cluster), ints(&[("lane", lane), ("way", way)]))
                 }
-                EventKind::WayRevoke { cluster, way } => {
-                    self.instant(
-                        pid,
-                        SDU_TID_BASE + cluster,
-                        name,
-                        cat,
-                        ev.cycle,
-                        &format!("{{\"way\":{way}}}"),
-                    );
-                }
+                EventKind::WayRevoke { cluster, way } => (sdu(cluster), ints(&[("way", way)])),
                 EventKind::SduStall { cluster, backlog } => {
-                    self.instant(
-                        pid,
-                        SDU_TID_BASE + cluster,
-                        name,
-                        cat,
-                        ev.cycle,
-                        &format!("{{\"backlog\":{backlog}}}"),
-                    );
+                    (sdu(cluster), ints(&[("backlog", backlog)]))
                 }
                 EventKind::GvPublish { cluster, lane, mask } => {
-                    self.instant(
-                        pid,
-                        SDU_TID_BASE + cluster,
-                        name,
-                        cat,
-                        ev.cycle,
-                        &format!("{{\"lane\":{lane},\"mask\":{mask}}}"),
-                    );
+                    (sdu(cluster), ints(&[("lane", lane), ("mask", mask)]))
                 }
                 EventKind::GvConsume { core, cluster, way } => {
-                    self.instant(
-                        pid,
-                        core,
-                        name,
-                        cat,
-                        ev.cycle,
-                        &format!("{{\"cluster\":{cluster},\"way\":{way}}}"),
-                    );
+                    (core, ints(&[("cluster", cluster), ("way", way)]))
                 }
-                EventKind::Section { core, node, .. } => {
-                    self.instant(pid, core, name, cat, ev.cycle, &format!("{{\"node\":{node}}}"));
-                }
-                _ => {}
-            }
+                EventKind::Section { core, node, .. } => (core, ints(&[("node", node)])),
+                _ => continue,
+            };
+            let (cat, name) = (ev.kind.category().name(), ev.kind.name());
+            self.instant(pid, tid, name, cat, ev.cycle, &args);
         }
 
         for (cat, n) in rec.dropped().iter() {
@@ -287,20 +222,18 @@ impl ChromeTrace {
             }
             out.push('\n');
         }
-        out.push_str("],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"cycles\",");
-        out.push_str("\"dropped_events\":{");
-        for (i, cat) in Category::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", cat.name(), self.dropped[*cat as usize]);
+        let mut dropped = Obj::new();
+        for cat in Category::ALL {
+            dropped.int(cat.name(), self.dropped[cat as usize]);
         }
-        out.push('}');
+        let mut other = Obj::new();
+        other.str("clock", "cycles").raw("dropped_events", &dropped.finish());
         for (key, totals) in &self.other {
-            let _ = write!(out, ",\"{key}\":{totals}");
+            other.raw(key, totals);
         }
-        out.push_str("}}");
-        out.push('\n');
+        out.push_str("],\"displayTimeUnit\":\"ms\",\"otherData\":");
+        out.push_str(&other.finish());
+        out.push_str("}\n");
         out
     }
 }
@@ -350,11 +283,5 @@ mod tests {
         let text = export("test", &rec);
         assert!(text.contains(&format!("\"tid\":{}", SDU_TID_BASE)));
         assert!(text.contains("\"name\":\"sdu 0\""));
-    }
-
-    #[test]
-    fn escape_handles_control_and_quote() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

@@ -1,13 +1,27 @@
-//! A minimal recursive-descent JSON parser (the workspace is
-//! dependency-free by design, so the schema checker and the round-trip
-//! tests need an in-tree reader).
+//! The workspace's one JSON module: a minimal recursive-descent parser
+//! and the output-only writer every exporter and service response is
+//! built with (the workspace is dependency-free by design, so both live
+//! in-tree, in the zero-dependency trace crate every JSON producer
+//! already depends on).
 //!
-//! Faithful to RFC 8259 for everything the exporters emit, with one
-//! deliberate extension: objects preserve **key order** (stored as a
-//! vector of pairs), because the schema checker asserts the exporters'
-//! stable field ordering. Integers that fit `i64` parse as
+//! The parser is faithful to RFC 8259 for everything the writer emits,
+//! with one deliberate extension: objects preserve **key order** (stored
+//! as a vector of pairs), because the schema checker asserts the
+//! exporters' stable field ordering. Integers that fit `i64` parse as
 //! [`Value::Int`], everything else numeric as [`Value::Num`] — letting
 //! callers assert "this field is integer-only".
+//!
+//! ```
+//! use l15_trace::json::{parse, Obj, Value};
+//! let mut o = Obj::new();
+//! o.num("nodes", 4.0);
+//! o.str("status", "ok");
+//! let text = o.finish();
+//! assert_eq!(text, "{\"nodes\":4,\"status\":\"ok\"}");
+//! assert_eq!(parse(&text).unwrap().get("nodes"), Some(&Value::Int(4)));
+//! ```
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -362,6 +376,148 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
     Ok(value)
 }
 
+/// Escapes `s` as a JSON string literal, quotes included.
+pub fn string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal, quotes included. Runs
+/// of characters that need no escape are copied whole; every escaped
+/// character is ASCII, so byte offsets always fall on char boundaries.
+fn escape_into(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Formats a number the way the rest of the repo prints floats: shortest
+/// round-trip form (integers print without a decimal point). Non-finite
+/// values become `null` (JSON has no NaN/Infinity).
+pub fn number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_owned()
+    }
+}
+
+/// An object under construction; fields render in insertion order.
+#[derive(Debug)]
+pub struct Obj {
+    buf: String,
+}
+
+impl Default for Obj {
+    fn default() -> Self {
+        Obj::new()
+    }
+}
+
+impl Obj {
+    /// Starts an empty object.
+    pub fn new() -> Self {
+        let mut buf = String::with_capacity(128);
+        buf.push('{');
+        Obj { buf }
+    }
+
+    fn key(&mut self, k: &str) {
+        if self.buf.len() > 1 {
+            self.buf.push(',');
+        }
+        escape_into(&mut self.buf, k);
+        self.buf.push(':');
+    }
+
+    /// Adds a numeric field.
+    pub fn num(&mut self, k: &str, v: f64) -> &mut Self {
+        self.key(k);
+        self.buf.push_str(&number(v));
+        self
+    }
+
+    /// Adds an integer field (exact, no float round-trip).
+    pub fn int(&mut self, k: &str, v: u64) -> &mut Self {
+        self.key(k);
+        let _ = write!(self.buf, "{v}");
+        self
+    }
+
+    /// Adds a string field.
+    pub fn str(&mut self, k: &str, v: &str) -> &mut Self {
+        self.key(k);
+        escape_into(&mut self.buf, v);
+        self
+    }
+
+    /// Adds a boolean field.
+    pub fn bool(&mut self, k: &str, v: bool) -> &mut Self {
+        self.key(k);
+        self.buf.push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    /// Adds a field whose value is already-rendered JSON (an object or
+    /// array built separately).
+    pub fn raw(&mut self, k: &str, v: &str) -> &mut Self {
+        self.key(k);
+        self.buf.push_str(v);
+        self
+    }
+
+    /// Finishes the object.
+    pub fn finish(mut self) -> String {
+        self.buf.push('}');
+        self.buf
+    }
+}
+
+/// Renders `u64` values as a JSON array.
+pub fn int_array(values: impl IntoIterator<Item = u64>) -> String {
+    let mut out = String::from("[");
+    for (i, v) in values.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{v}");
+    }
+    out.push(']');
+    out
+}
+
+/// Renders `f64` values as a JSON array (non-finite values as `null`).
+pub fn num_array(values: impl IntoIterator<Item = f64>) -> String {
+    let mut out = String::from("[");
+    for (i, v) in values.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&number(v));
+    }
+    out.push(']');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,5 +560,39 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "01x", "\"\u{1}\"", "1 2", "nul"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn escaping_covers_specials_and_controls() {
+        assert_eq!(string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(string("héllo"), "\"héllo\"");
+    }
+
+    #[test]
+    fn numbers_round_trip_and_nan_is_null() {
+        assert_eq!(number(1.5), "1.5");
+        assert_eq!(number(4.0), "4");
+        assert_eq!(number(f64::NAN), "null");
+        assert_eq!(number(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn objects_and_arrays_compose() {
+        let mut inner = Obj::new();
+        inner.int("a", 1);
+        let mut o = Obj::new();
+        o.raw("inner", &inner.finish());
+        o.raw("xs", &int_array([1, 2, 3]));
+        o.raw("ys", &num_array([0.5, 2.0]));
+        o.bool("ok", true);
+        assert_eq!(o.finish(), "{\"inner\":{\"a\":1},\"xs\":[1,2,3],\"ys\":[0.5,2],\"ok\":true}");
+    }
+
+    #[test]
+    fn empty_object_and_array() {
+        assert_eq!(Obj::new().finish(), "{}");
+        assert_eq!(Obj::default().finish(), "{}");
+        assert_eq!(int_array([]), "[]");
     }
 }

@@ -1,9 +1,10 @@
 //! Property tests: export → parse → validate round-trips for arbitrary
-//! event streams, and the exporter's determinism contract.
+//! event streams, the exporter's determinism contract, and writer → parser
+//! round-trips for the JSON module.
 
 use l15_testkit::prop::{self, Config, G};
 use l15_trace::chrome;
-use l15_trace::json::{self, Value};
+use l15_trace::json::{self, int_array, num_array, Obj, Value};
 use l15_trace::schema;
 use l15_trace::{Category, CtrlKind, EventKind, FlightRecorder, Level, SectionKind, TraceEvent};
 
@@ -131,14 +132,29 @@ fn parsed_object_mirrors_recorder_contents() {
     });
 }
 
+/// Any Unicode scalar value except NUL, supplementary planes included;
+/// ASCII (controls, quote, backslash) is drawn often enough to matter.
+fn arb_char(g: &mut G) -> char {
+    let c = match g.weighted(&[3, 3, 1, 2]) {
+        0 => g.u32_in(1..0x80),
+        1 => g.u32_in(0x80..=0xD7FF),
+        2 => g.u32_in(0xE000..=0xFFFF),
+        _ => g.u32_in(0x10000..=0x10FFFF),
+    };
+    char::from_u32(c).expect("surrogates are excluded")
+}
+
+fn arb_string(g: &mut G) -> String {
+    let len = g.usize_in(0..=24);
+    (0..len).map(|_| arb_char(g)).collect()
+}
+
 #[test]
 fn json_parser_round_trips_exporter_escapes() {
     prop::run_with(Config::with_cases(64), "json_parser_round_trips_exporter_escapes", |g| {
         // Arbitrary process names (any unicode) survive the export → parse
         // path unchanged.
-        let len = g.usize_in(0..=24);
-        let name: String =
-            (0..len).map(|_| char::from_u32(g.u32_in(1..=0xD7FF)).unwrap_or('?')).collect();
+        let name = arb_string(g);
         let mut rec = FlightRecorder::new(4);
         rec.record(TraceEvent { cycle: 1, kind: EventKind::NodeStart { node: 0, core: 0 } });
         let text = chrome::export(&name, &rec);
@@ -147,5 +163,85 @@ fn json_parser_round_trips_exporter_escapes() {
         assert_eq!(first.get("name").and_then(Value::as_str), Some("process_name"));
         let parsed = first.get("args").and_then(|a| a.get("name")).and_then(Value::as_str);
         assert_eq!(parsed, Some(name.as_str()));
+    });
+}
+
+/// Small integers, fractions, arbitrary bit patterns (NaN, infinities,
+/// subnormals, huge magnitudes) and the non-finite values themselves.
+fn arb_f64(g: &mut G) -> f64 {
+    match g.weighted(&[2, 2, 3, 1]) {
+        0 => g.i64_in(-1_000_000..=1_000_000) as f64,
+        1 => g.f64_in(-1e6, 1e6),
+        2 => f64::from_bits(g.any_u64()),
+        _ => *g.pick(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]),
+    }
+}
+
+/// What the parser must read back for `number(v)`.
+fn parsed_number(v: f64) -> Value {
+    if !v.is_finite() {
+        Value::Null
+    } else if v.fract() == 0.0 && v >= i64::MIN as f64 && v < i64::MAX as f64 {
+        Value::Int(v as i64)
+    } else {
+        Value::Num(v)
+    }
+}
+
+/// A writer object `depth` levels deep at most, and the value the parser
+/// must read back from it.
+fn arb_obj(g: &mut G, depth: u32) -> (String, Value) {
+    let mut o = Obj::new();
+    let mut pairs = Vec::new();
+    for _ in 0..g.usize_in(0..=5) {
+        let key = arb_string(g);
+        let nested = if depth > 0 { 2 } else { 0 };
+        let value = match g.weighted(&[3, 3, 2, 1, 1, 1, nested]) {
+            0 => {
+                let v = g.u64_in(0..=i64::MAX as u64);
+                o.int(&key, v);
+                Value::Int(v as i64)
+            }
+            1 => {
+                let v = arb_f64(g);
+                o.num(&key, v);
+                parsed_number(v)
+            }
+            2 => {
+                let v = arb_string(g);
+                o.str(&key, &v);
+                Value::Str(v)
+            }
+            3 => {
+                let v = g.bool();
+                o.bool(&key, v);
+                Value::Bool(v)
+            }
+            4 => {
+                let vs = g.vec_of(0..4, |g| g.u64_in(0..=i64::MAX as u64));
+                o.raw(&key, &int_array(vs.iter().copied()));
+                Value::Arr(vs.into_iter().map(|v| Value::Int(v as i64)).collect())
+            }
+            5 => {
+                let vs = g.vec_of(0..4, arb_f64);
+                o.raw(&key, &num_array(vs.iter().copied()));
+                Value::Arr(vs.into_iter().map(parsed_number).collect())
+            }
+            _ => {
+                let (text, v) = arb_obj(g, depth - 1);
+                o.raw(&key, &text);
+                v
+            }
+        };
+        pairs.push((key, value));
+    }
+    (o.finish(), Value::Obj(pairs))
+}
+
+#[test]
+fn json_writer_output_parses_back() {
+    prop::run_with(Config::with_cases(128), "json_writer_output_parses_back", |g| {
+        let (text, expected) = arb_obj(g, 3);
+        assert_eq!(json::parse(&text), Ok(expected), "{text}");
     });
 }

@@ -192,13 +192,29 @@ grep -q '"schema":"l15-online-bench-v1"' "$on_art_seq"
 rm -f "$on_seq" "$on_par" "$on_art_seq" "$on_art_par"
 echo "l15-online report and BENCH_online.json are byte-identical across worker counts"
 
-echo "==> bench binaries (--quick smoke)"
+echo "==> bench binaries (--quick smoke; a bad argument exits 2)"
+# Every binary parses its command line with l15_testkit::cli: an unknown
+# flag, or one the chosen command does not use, must print the usage line
+# and exit with status exactly 2.
+rejects() {
+    pkg=$1 bin=$2
+    shift 2
+    status=0
+    cargo run --release --offline -q -p "$pkg" --bin "$bin" -- "$@" 2> /dev/null || status=$?
+    [ "$status" -eq 2 ] || { echo "$bin $* exited $status, not 2"; exit 1; }
+}
+rejects_bad_flag() { rejects "$1" "$2" --no-such-flag; }
 for bin in crates/bench/src/bin/*.rs; do
     name=$(basename "$bin" .rs)
+    rejects_bad_flag l15-bench "$name"
     # loadgen needs a live server; it is exercised by the serve smoke above.
     [ "$name" = "loadgen" ] && continue
     echo "--- $name --quick"
     cargo run --release --offline -q -p l15-bench --bin "$name" -- --quick
 done
+rejects_bad_flag l15-serve l15-serve
+rejects_bad_flag l15-check l15-check
+rejects l15-check l15-check lint . --quick
+echo "every binary rejects a bad argument with exit status 2"
 
 echo "==> ci OK"
